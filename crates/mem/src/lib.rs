@@ -5,10 +5,11 @@
 //! * [`Addr`] — byte addresses with word/line alignment helpers. The
 //!   platform is word-oriented (32-bit words, 8-word / 32-byte cache lines,
 //!   matching the paper's "burst (8 words)" in Table 4).
-//! * [`Memory`] — a flat, word-addressed physical memory that stores real
-//!   data values. Storing data (rather than only modelling timing) is what
-//!   lets the test suite *detect stale reads* — the exact failure the
-//!   paper's Tables 2 and 3 illustrate.
+//! * [`Memory`] — a word-addressed physical memory that stores real data
+//!   values in a sparse paged image (only written pages take storage).
+//!   Storing data (rather than only modelling timing) is what lets the
+//!   test suite *detect stale reads* — the exact failure the paper's
+//!   Tables 2 and 3 illustrate.
 //! * [`MemoryMap`] — classifies addresses into cacheable write-back,
 //!   cacheable write-through, uncached, and device windows. The paper's
 //!   evaluation hinges on this: lock variables are always placed in an

@@ -1,6 +1,6 @@
 //! Golden-memory coherence checking.
 
-use hmp_mem::Addr;
+use hmp_mem::{Addr, Memory};
 use hmp_sim::Cycle;
 
 /// One detected stale read.
@@ -43,22 +43,31 @@ impl core::fmt::Display for Violation {
 /// stale reads those tables illustrate; running the wrapped platform
 /// reports none — that contrast is the core correctness test of this
 /// reproduction.
+///
+/// The golden image is a [`Memory`] of the platform's size, so it costs
+/// only the pages a run writes and resets like the platform's own memory.
 #[derive(Debug, Clone)]
 pub struct CoherenceChecker {
-    golden: Vec<u32>,
+    golden: Memory,
     violations: Vec<Violation>,
     checked_reads: u64,
+    stale_reads: u64,
     max_recorded: usize,
 }
 
 impl CoherenceChecker {
     /// Creates a checker for a memory of `size_bytes`, keeping at most
     /// `max_recorded` violation records (counting continues past that).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size_bytes` is not a multiple of the line size.
     pub fn new(size_bytes: u32, max_recorded: usize) -> Self {
         CoherenceChecker {
-            golden: vec![0; (size_bytes / 4) as usize],
+            golden: Memory::new(size_bytes),
             violations: Vec::new(),
             checked_reads: 0,
+            stale_reads: 0,
             max_recorded,
         }
     }
@@ -66,21 +75,25 @@ impl CoherenceChecker {
     /// Cross-run reset: zeroes the golden image and forgets recorded
     /// violations, reusing both allocations.
     pub fn reset(&mut self) {
-        self.golden.fill(0);
+        self.golden.reset();
         self.violations.clear();
         self.checked_reads = 0;
+        self.stale_reads = 0;
     }
 
     /// Records a committed write of `value` to `addr`.
     pub fn on_write(&mut self, addr: Addr, value: u32) {
-        self.golden[addr.word_index()] = value;
+        self.golden.write_word(addr, value);
     }
 
-    /// Checks a committed read; records a violation if stale.
+    /// Checks a committed read; counts it as stale and records a
+    /// violation (while under the record limit) if it disagrees with the
+    /// golden image.
     pub fn on_read(&mut self, at: Cycle, cpu: usize, addr: Addr, got: u32) {
         self.checked_reads += 1;
-        let expected = self.golden[addr.word_index()];
+        let expected = self.golden.read_word(addr);
         if expected != got {
+            self.stale_reads += 1;
             if self.violations.len() < self.max_recorded {
                 self.violations.push(Violation {
                     at,
@@ -89,16 +102,13 @@ impl CoherenceChecker {
                     expected,
                     got,
                 });
-            } else {
-                // Keep counting without storing.
-                self.checked_reads = self.checked_reads.wrapping_add(0);
             }
         }
     }
 
     /// The current golden value of a word.
     pub fn golden(&self, addr: Addr) -> u32 {
-        self.golden[addr.word_index()]
+        self.golden.read_word(addr)
     }
 
     /// Recorded violations (bounded by the construction limit).
@@ -111,9 +121,14 @@ impl CoherenceChecker {
         self.checked_reads
     }
 
-    /// Returns `true` if no stale read was recorded.
+    /// Total stale reads, including those past the record limit.
+    pub fn stale_reads(&self) -> u64 {
+        self.stale_reads
+    }
+
+    /// Returns `true` if no stale read was seen.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
+        self.stale_reads == 0
     }
 }
 
@@ -156,5 +171,12 @@ mod tests {
         }
         assert_eq!(c.violations().len(), 2);
         assert_eq!(c.checked_reads(), 10);
+        assert_eq!(c.stale_reads(), 10, "counting continues past the cap");
+        c.on_read(Cycle::new(10), 0, Addr::new(0), 1);
+        assert_eq!(c.stale_reads(), 10, "a fresh read is not stale");
+        c.reset();
+        assert_eq!(c.stale_reads(), 0);
+        assert!(c.is_clean());
+        assert_eq!(c.golden(Addr::new(0)), 0);
     }
 }

@@ -19,6 +19,11 @@
 //! zero allocations — that is what makes the sweep paths' cross-run
 //! batching allocation-free, not just each run's inner loop.
 //!
+//! Main memory and the checker's golden image are sparse: the first write
+//! to a page allocates it, and a reset keeps it mapped. Every phase
+//! therefore warms up on the workload it measures, so the measured window
+//! writes only pages that are already mapped.
+//!
 //! Measured with a counting `#[global_allocator]`; this file holds a
 //! single test (all phases run sequentially inside it) so no concurrent
 //! test can perturb the counter.

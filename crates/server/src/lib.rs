@@ -6,10 +6,16 @@
 //! that). This crate turns that determinism into throughput: a
 //! dependency-free daemon that accepts simulation jobs as line-delimited
 //! JSON over TCP, canonicalizes each spec into a content digest, answers
-//! repeats from an in-memory + on-disk cache, and shards misses across a
-//! [`hmp_bench::sweep::par_map_with`] worker pool of reset-don't-drop
-//! [`Runner`]s — so the per-worker execution path stays allocation-free
-//! in steady state, exactly like the sweep binaries.
+//! repeats from an in-memory + on-disk cache, and runs each job's misses
+//! through [`hmp_bench::sweep::par_map_with`]. That pool lives for one
+//! job: it starts up to `workers` threads, each builds a fresh
+//! [`Runner`] and resets it between the job's cells, and the runners are
+//! dropped when the job ends, so no platform is reused across requests.
+//! `workers` bounds one job's parallelism, not the daemon's: concurrent
+//! connections each run a pool of their own. The first write to each
+//! memory page of a fresh runner allocates that page; once a runner's
+//! pages are mapped, the simulated cycle loop does not allocate (pinned
+//! by `server_zero_alloc.rs`).
 //!
 //! Concurrent clients submitting the identical job coalesce onto one
 //! execution (single-flight); everyone gets the same bytes. Server
@@ -40,15 +46,16 @@ pub use server::{Server, ServerConfig};
 use hmp_platform::RunResult;
 use hmp_workloads::{RunSpec, Runner};
 
-/// The worker execution path: one cell on one pooled [`Runner`].
+/// The worker execution path: one cell on one worker's [`Runner`].
 ///
-/// This is the function the daemon's `par_map_with` pool applies to every
-/// cache miss, and the function the counting-allocator test pins: after
-/// the pool's runner has warmed (first build + first reset), the
-/// steady-state stepping inside this call performs zero heap
-/// allocations. Everything allocating — platform construction, program
-/// generation, result assembly, JSON rendering — happens outside the
-/// simulated cycle loop.
+/// This is the function each job's `par_map_with` pool applies to every
+/// cache miss, and the function the counting-allocator test pins: once a
+/// runner has warmed (first build + first reset) on cells that write the
+/// same memory pages, the steady-state stepping inside this call
+/// performs zero heap allocations. Platform construction, program
+/// generation, result assembly and JSON rendering allocate outside the
+/// simulated cycle loop; inside it, only the first write to a memory
+/// page does.
 pub fn run_cell(runner: &mut Runner, spec: &RunSpec) -> RunResult {
     runner.run(spec)
 }

@@ -1,8 +1,8 @@
 //! `hmp-server` — the simulation job daemon.
 //!
 //! Accepts line-delimited JSON jobs over TCP, serves repeats from the
-//! content-addressed run cache, and shards misses across the worker
-//! pool. See `DESIGN.md` §8 for the protocol.
+//! content-addressed run cache, and shards each job's misses across a
+//! worker pool started for that job. See `DESIGN.md` §8 for the protocol.
 
 use hmp_server::{Server, ServerConfig};
 use std::path::PathBuf;
@@ -16,7 +16,7 @@ USAGE:
 
 OPTIONS:
     --addr HOST:PORT    Bind address (default 127.0.0.1:7077; port 0 picks a free port)
-    --workers N         Worker threads for cache-miss execution
+    --workers N         Worker threads for one job's cache-miss execution
                         (default: HMP_BENCH_WORKERS or the machine's parallelism)
     --cache-dir DIR     On-disk cache directory (default: memory-only)
     --cache-cap N       In-memory cache entry cap, 0 = unbounded (default 1024)

@@ -1,5 +1,5 @@
 //! The daemon: TCP accept loop, per-connection protocol handling,
-//! single-flight coalescing, and the sharded execution pool.
+//! single-flight coalescing, and the per-job sharded execution pool.
 //!
 //! Each connection gets a thread (jobs are few and heavy; the expensive
 //! resource is the worker pool, not connection handlers). Job handling:
@@ -7,9 +7,10 @@
 //! 1. canonicalize + digest every spec ([`crate::digest`]);
 //! 2. resolve each unique digest under one registry lock — cache hit,
 //!    follower of an in-flight execution, or leader of a new one;
-//! 3. shard leader cells across [`par_map_with`] workers, each carrying
-//!    a reset-don't-drop [`Runner`], streaming a `progress` event per
-//!    completed cell;
+//! 3. shard leader cells across a [`par_map_with`] pool started for this
+//!    job alone (up to `workers` threads, each building a fresh [`Runner`]
+//!    and resetting it between this job's cells), streaming a `progress`
+//!    event per completed cell;
 //! 4. answer every input cell in order with the cached bytes.
 //!
 //! The registry lock makes hit-or-lead atomic: between N concurrent
@@ -38,7 +39,8 @@ use std::time::Instant;
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7077` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads for cache-miss execution.
+    /// Worker threads for one job's cache-miss execution. Each job
+    /// starts its own pool, so concurrent jobs can run more threads.
     pub workers: usize,
     /// On-disk cache directory; `None` disables the disk tier.
     pub cache_dir: Option<PathBuf>,

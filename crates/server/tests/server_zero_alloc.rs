@@ -1,12 +1,16 @@
 //! Extends the platform's counting-allocator bar to the daemon's worker
-//! execution path: once a pooled [`Runner`] has warmed (first platform
+//! execution path: once a worker's [`Runner`] has warmed (first platform
 //! build + first reset), the steady-state simulated stepping inside
 //! [`hmp_server::run_cell`] performs zero heap allocations.
 //!
 //! Allocation belongs to the edges — platform construction, program
 //! generation at `prepare`, result assembly and JSON rendering — all of
 //! which happen once per cell, outside the cycle loop this test
-//! measures. Same structure as `observer_zero_alloc.rs` phase 7 (the
+//! measures. The one exception is memory: main memory and the checker's
+//! golden image are sparse, so the first write to each page allocates
+//! it inside the cycle loop. The warm-up cells below run the same spec
+//! as the measured window, so every page it writes is already mapped;
+//! a job's first cell on a fresh runner does allocate while stepping. Same structure as `observer_zero_alloc.rs` phase 7 (the
 //! sweep paths' reset-don't-drop batching), reached through the server's
 //! own primitives.
 

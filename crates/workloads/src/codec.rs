@@ -166,12 +166,11 @@ pub fn spec_from_value(doc: &JsonValue) -> Result<RunSpec, String> {
         if pv.as_obj().is_none() {
             return Err(format!("\"params\" must be an object, got {}", pv.kind()));
         }
-        params.lines_per_iter = num_or(pv, "lines_per_iter", params.lines_per_iter as u64)? as u32;
-        params.exec_time = num_or(pv, "exec_time", params.exec_time as u64)? as u32;
-        params.outer_iters = num_or(pv, "outer_iters", params.outer_iters as u64)? as u32;
-        params.words_per_line = num_or(pv, "words_per_line", params.words_per_line as u64)? as u32;
-        params.overhead_per_word =
-            num_or(pv, "overhead_per_word", params.overhead_per_word as u64)? as u32;
+        params.lines_per_iter = u32_or(pv, "lines_per_iter", params.lines_per_iter)?;
+        params.exec_time = u32_or(pv, "exec_time", params.exec_time)?;
+        params.outer_iters = u32_or(pv, "outer_iters", params.outer_iters)?;
+        params.words_per_line = u32_or(pv, "words_per_line", params.words_per_line)?;
+        params.overhead_per_word = u32_or(pv, "overhead_per_word", params.overhead_per_word)?;
         params.seed = num_or(pv, "seed", params.seed)?;
     }
 
@@ -198,9 +197,9 @@ pub fn spec_from_value(doc: &JsonValue) -> Result<RunSpec, String> {
             return Err(format!("\"recovery\" must be an object, got {}", v.kind()));
         }
         spec.recovery = RecoveryPolicy {
-            retry_budget: num_or(v, "retry_budget", 0)? as u32,
+            retry_budget: u32_or(v, "retry_budget", 0)?,
             escalation_backoff: num_or(v, "escalation_backoff", 0)?,
-            quarantine_after: num_or(v, "quarantine_after", 0)? as u32,
+            quarantine_after: u32_or(v, "quarantine_after", 0)?,
         };
     }
     spec.watchdog_window = num_or(doc, "watchdog_window", spec.watchdog_window)?;
@@ -294,18 +293,14 @@ fn faults_from(v: &JsonValue) -> Result<Option<FaultDirective>, String> {
         .ok_or("faults needs a \"kind\" string")?;
     let mut f = FaultDirective::new(fault_from(kind)?, 0, 1);
     f.seed = num_or(v, "seed", f.seed)?;
-    f.count = num_or(v, "count", f.count as u64)? as u32;
+    f.count = u32_or(v, "count", f.count)?;
     f.from = num_or(v, "from", f.from)?;
     f.to = num_or(v, "to", f.to)?;
     f.addr_lines = num_or(v, "addr_lines", f.addr_lines)?;
     f.param = num_or(v, "param", f.param)?;
     f.target = match v.get("target") {
         None | Some(JsonValue::Null) => None,
-        Some(t) => Some(
-            t.as_f64()
-                .ok_or_else(|| format!("faults.target must be a number, got {}", t.kind()))?
-                as u32,
-        ),
+        Some(_) => Some(u32_or(v, "target", 0)?),
     };
     Ok(Some(f))
 }
@@ -315,6 +310,12 @@ fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("\"{key}\" must be a string, got {}", v.kind()))
 }
 
+/// Largest integer a JSON number carries exactly: the parser reads numbers
+/// as `f64`, and from 2^53 on distinct literals parse to the same double
+/// (2^53 + 1 reads as 2^53), so larger values are refused rather than
+/// silently rounded into a different spec and digest.
+const MAX_EXACT_INT: f64 = ((1u64 << 53) - 1) as f64;
+
 fn num_or(doc: &JsonValue, key: &str, default: u64) -> Result<u64, String> {
     match doc.get(key) {
         None => Ok(default),
@@ -322,12 +323,22 @@ fn num_or(doc: &JsonValue, key: &str, default: u64) -> Result<u64, String> {
             let n = v
                 .as_f64()
                 .ok_or_else(|| format!("\"{key}\" must be a number, got {}", v.kind()))?;
-            if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
+            if n < 0.0 || n.fract() != 0.0 {
                 return Err(format!("\"{key}\" must be a non-negative integer, got {n}"));
+            }
+            if n > MAX_EXACT_INT {
+                return Err(format!(
+                    "\"{key}\" must be below 2^53 to be read exactly, got {n}"
+                ));
             }
             Ok(n as u64)
         }
     }
+}
+
+fn u32_or(doc: &JsonValue, key: &str, default: u32) -> Result<u32, String> {
+    let n = num_or(doc, key, u64::from(default))?;
+    u32::try_from(n).map_err(|_| format!("\"{key}\" must fit in 32 bits, got {n}"))
 }
 
 fn bool_or(doc: &JsonValue, key: &str, default: bool) -> Result<bool, String> {
@@ -613,6 +624,38 @@ mod tests {
             FaultKind::LineStateCorrupt,
         ] {
             assert_eq!(fault_from(fault_key(f)).unwrap(), f);
+        }
+    }
+
+    #[test]
+    fn inexact_integers_are_refused_not_rounded() {
+        let spec = |seed: &str| {
+            spec_from_json(&format!(
+                r#"{{"scenario":"worst","strategy":"proposed","params":{{"seed":{seed}}}}}"#
+            ))
+        };
+        let largest = (1u64 << 53) - 1;
+        assert_eq!(spec(&largest.to_string()).unwrap().params.seed, largest);
+        // 2^60 + 1 parses to the double 2^60, and 2^53 + 1 to 2^53.
+        for seed in [(1u64 << 60) + 1, (1 << 53) + 1, 1 << 53, u64::MAX] {
+            let err = spec(&seed.to_string()).expect_err("must not round");
+            assert!(err.contains("seed") && err.contains("2^53"), "{err}");
+        }
+        for (text, needle) in [
+            (r#""max_cycles":1152921504606846977"#, "max_cycles"),
+            // 32-bit fields are not truncated (2^32 + 4 is not 4) ...
+            (
+                r#""params":{"lines_per_iter":4294967300}"#,
+                "lines_per_iter",
+            ),
+            // ... and a fault target is not rounded down to a master.
+            (r#""faults":{"kind":"grant_drop","target":1.7}"#, "target"),
+        ] {
+            let err = spec_from_json(&format!(
+                r#"{{"scenario":"worst","strategy":"proposed",{text}}}"#
+            ))
+            .expect_err(text);
+            assert!(err.contains(needle), "{text}: {err}");
         }
     }
 
